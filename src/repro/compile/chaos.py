@@ -45,8 +45,9 @@ from dataclasses import dataclass, field
 from hashlib import sha256
 from typing import Callable, Optional
 
+from .. import supervise
 from ..diag import DiagnosticSink
-from ..runtime.procexec import ExecutorError
+from ..supervise import ExecutorError
 from . import driver as _driver
 from .cache import PlanCache, PlanCacheConfig
 from .driver import CompileJob, _build_for_job
@@ -520,9 +521,7 @@ def run_cache_hammer(
     put via the byte budget).  Returns aggregated counters; the caller
     asserts ``corrupt_reads == 0`` — a reader must see either nothing or
     the exact expected bytes, never a torn or resurrected entry."""
-    import multiprocessing as mp
-
-    ctx = mp.get_context("fork")
+    ctx = supervise.fork_context("the cache hammer")
     result_q = ctx.Queue()
     procs = [
         ctx.Process(target=_hammer_child,
@@ -534,7 +533,7 @@ def run_cache_hammer(
         p.start()
     totals = {"puts": 0, "gets": 0, "hits": 0, "corrupt_reads": 0,
               "clears": 0}
-    got, ok = 0, True
+    got = 0
     deadline = time.monotonic() + timeout
     import queue as _queue
 
@@ -548,24 +547,9 @@ def run_cache_hammer(
         for k, v in counts.items():
             totals[k] += v
         got += 1
-    for p in procs:
-        p.join(timeout=max(deadline - time.monotonic(), 0.1))
-        if p.exitcode is None:
-            try:
-                os.kill(p.pid, signal.SIGKILL)
-            except (ProcessLookupError, PermissionError):
-                pass
-            p.join(timeout=5.0)
-            ok = False
-        elif p.exitcode != 0:
-            ok = False
-    try:
-        result_q.close()
-        result_q.join_thread()
-    except Exception:  # pragma: no cover - best-effort release
-        pass
-    if got < processes:
-        ok = False
+    supervise.reap(procs, grace=max(deadline - time.monotonic(), 0.1))
+    supervise.close_queues([result_q])
+    ok = got == processes and all(p.exitcode == 0 for p in procs)
     cache = PlanCache(PlanCacheConfig(directory=directory))
     totals["stray_tmp"] = len(cache.stray_tmp_files())
     totals["ok"] = ok

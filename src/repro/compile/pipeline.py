@@ -29,11 +29,8 @@ explicit, each with a serializable artifact and a content-addressed key
    with both node-program texts (mpi + shmem) pre-emitted.  Artifact:
    :class:`KernelArtifact` keyed by ``key.kernel_digest``.
 
-When no canonical processor count can be derived (non-affine directive
-extents, exotic layouts), the driver falls back to the legacy
-per-``nprocs`` analysis and simply skips the selection tier — a safety
-valve, never an error.  Explicit iset budgets also take the legacy path
-so budget consumption order stays exactly historical.
+Strict compiles always take this one analysis path.  An explicit iset
+budget meters select and specialize alike; it only bypasses the cache.
 
 :func:`cached_compile` is the front door ``compile_kernel`` delegates
 to: kernel-tier hit → unpickle, replay the recorded diagnostics into the
@@ -53,6 +50,7 @@ caller's sink in order.
 from __future__ import annotations
 
 import pickle
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping
 
@@ -188,16 +186,15 @@ def stage_parse(source_or_sub, sink: DiagnosticSink) -> "Subroutine":
     return sub
 
 
-def stage_select(sub: "Subroutine", params: dict) -> "SelectionArtifact | None":
+def stage_select(sub: "Subroutine", params: dict) -> SelectionArtifact:
     """Selection stage (strict): the ``nprocs``-free half of analysis.
 
     Derives the canonical processor count from the layout and runs CP
-    selection, NEW/LOCALIZE propagation, and grouping there.  Returns
-    ``None`` when no canonical count can be derived or selection fails at
-    it (the safety valve — the caller falls back to the legacy
-    per-``nprocs`` analysis of :func:`_analyze_direct` and skips the
-    selection cache tier)."""
-    from ..codegen.spmd import select_program
+    selection, NEW/LOCALIZE propagation, and grouping there.  A symbol
+    with no compile-time value surfaces as ``KeyError`` and converts to
+    :class:`CodegenUnsupported`, as in :func:`stage_specialize`; any
+    other error propagates."""
+    from ..codegen.spmd import CodegenUnsupported, select_program
     from ..distrib.layout import DistributionContext, canonical_nprocs
 
     with profile_phase("select"):
@@ -206,8 +203,10 @@ def stage_select(sub: "Subroutine", params: dict) -> "SelectionArtifact | None":
             ctx = DistributionContext(sub, cn, params)
             merged = {**sub.symbols.parameter_values(), **params}
             selection = select_program(sub, ctx, merged)
-        except Exception:
-            return None
+        except KeyError as exc:
+            raise CodegenUnsupported(
+                f"analysis requires compile-time values: {exc}"
+            ) from exc
     return SelectionArtifact(sub=sub, merged=merged, selection=selection)
 
 
@@ -243,66 +242,6 @@ def stage_specialize(
         nest_plans=nest_plans, private_arrays=private_arrays,
         localized_arrays=localized_arrays,
     )
-
-
-def _analyze_direct(
-    sub: "Subroutine",
-    nprocs: int,
-    params: dict,
-    budget=None,
-) -> AnalysisArtifact:
-    """Legacy one-shot analysis: CP selection *and* communication analysis
-    at the target *nprocs*, interleaved per nest.  Used when no canonical
-    processor count exists, and whenever an explicit iset *budget* is
-    attached (so budget consumption order stays exactly historical)."""
-    from ..codegen.spmd import CodegenUnsupported, analyze_program
-    from ..distrib.layout import DistributionContext
-    from ..isets import iset_budget
-
-    with profile_phase("analyze"):
-        try:
-            ctx = DistributionContext(sub, nprocs, params)
-            merged = {**sub.symbols.parameter_values(), **params}
-            if budget is not None:
-                with iset_budget(budget):
-                    cps_all, nest_plans, private_arrays, localized_arrays = (
-                        analyze_program(sub, ctx, merged)
-                    )
-            else:
-                cps_all, nest_plans, private_arrays, localized_arrays = (
-                    analyze_program(sub, ctx, merged)
-                )
-        except KeyError as exc:
-            raise CodegenUnsupported(
-                f"analysis requires compile-time values: {exc}"
-            ) from exc
-    return AnalysisArtifact(
-        sub=sub, ctx=ctx, merged=merged, cps=cps_all, nest_plans=nest_plans,
-        private_arrays=private_arrays, localized_arrays=localized_arrays,
-    )
-
-
-def stage_analyze(
-    sub: "Subroutine",
-    nprocs: int,
-    params: dict,
-    budget=None,
-) -> AnalysisArtifact:
-    """Analysis stage (strict): CP selection, NEW/LOCALIZE propagation,
-    comm-sensitive grouping, and communication analysis over every nest.
-
-    Without a *budget* this routes through the rank-symbolic split —
-    :func:`stage_select` at the canonical processor count, then
-    :func:`stage_specialize` at *nprocs* — so cold compiles and
-    selection-tier cache hits are identical by construction.  With a
-    budget, or when no canonical count exists, it runs the legacy
-    per-``nprocs`` analysis directly.
-    """
-    if budget is None:
-        selart = stage_select(sub, params)
-        if selart is not None:
-            return stage_specialize(selart, nprocs, params)
-    return _analyze_direct(sub, nprocs, params, budget=budget)
 
 
 def stage_codegen(
@@ -366,7 +305,7 @@ def build_kernel(
     ``compile_kernel`` body.
     """
     from ..codegen.spmd import _build_lenient
-    from ..isets import IsetBudget
+    from ..isets import IsetBudget, iset_budget
 
     new_epoch()
     lenient = not sink.strict
@@ -387,13 +326,11 @@ def build_kernel(
     _seed_sids(analysis.sub if sub is None and analysis is not None else sub)
     if not lenient:
         if analysis is None:
-            selart = stage_select(sub, params) if budget is None else None
-            if selart is not None:
+            with iset_budget(budget) if budget is not None else nullcontext():
+                selart = stage_select(sub, params)
                 if record is not None:
                     record.analysis_payload = _dumps(selart)
                 analysis = stage_specialize(selart, nprocs, params)
-            else:
-                analysis = _analyze_direct(sub, nprocs, params, budget=budget)
         with profile_phase("codegen"):
             kernel = stage_codegen(analysis, nprocs, backend, sink)
     else:

@@ -1,28 +1,29 @@
 """Crash-only compile service core: a supervised persistent worker pool.
 
-:func:`repro.compile.driver.compile_many` forks one worker per distinct
-plan key — correct, but a fork per job, and a policy vacuum: no retry
-when a worker dies, no admission control, and a poisoned job costs a
-fresh crash on every submission.  This module keeps a fixed gang of
-long-lived forked compile workers and layers the service policies the
-ROADMAP's "heavy traffic" north star needs on top:
+Every batch and service compile runs here:
+:func:`repro.compile.driver.compile_many` is a call on an ephemeral
+pool.  The pool keeps a fixed gang of long-lived forked compile workers
+and layers the service policies on top of the shared supervision
+primitive (:mod:`repro.supervise`):
 
 - **persistence** — workers loop over a per-worker task queue, so a
   thousand-job warm-up pays ``workers`` forks, not a thousand;
-- **supervision** — the same heartbeat/typed-error discipline as
-  :mod:`repro.runtime.procexec`: every worker beats from a daemon thread
-  into a shared slab, a stale beat means a *frozen* process (SIGSTOP,
-  kernel wedge) and is typed :class:`WorkerTimeout`, a death is typed
-  :class:`WorkerCrashed`, and either one respawns a replacement worker;
+- **supervision** — the heartbeat/typed-error discipline of
+  :mod:`repro.supervise`, shared with :mod:`repro.runtime.procexec`:
+  every worker beats from a daemon thread into a shared slab, a stale
+  beat means a *frozen* process (SIGSTOP, kernel wedge) and is typed
+  :class:`WorkerTimeout`, a death is typed :class:`WorkerCrashed`, and
+  either one respawns a replacement worker;
 - **retry + backoff** — a job whose worker crashed is retried up to
   ``max_attempts`` times with exponential backoff and *deterministic
   seeded jitter* (``Random(f"{seed}:{digest}:{attempt}")``), so two runs
   of the same chaotic batch make the same scheduling decisions;
 - **quarantine** — a job that kills its worker ``max_attempts`` times is
   quarantined: it resolves (and every later submission fails fast) with
-  a typed :class:`CompileQuarantined` carrying the full crash history,
-  and an ``E-QUARANTINE`` diagnostic.  One poisoned job can never starve
-  the queue or grind the pool through endless respawns;
+  a typed :class:`CompileQuarantined` (a :class:`WorkerCrashed`)
+  carrying the full crash history, and an ``E-QUARANTINE`` diagnostic.
+  One poisoned job can never starve the queue or grind the pool through
+  endless respawns;
 - **backpressure** — admission is bounded by ``max_queue`` distinct
   pending compilations; past it, :meth:`CompilePool.submit` blocks
   (``overload="block"``) or raises a typed :class:`ServiceOverloaded`
@@ -42,33 +43,28 @@ help) are reported by a live worker over the control queue as
 :class:`~repro.compile.driver.CompileFailed` and do **not** cost the
 worker its life or the job a retry.
 
-The pool is the engine behind :class:`repro.compile.service.CompileService`
-and ``compile_many(pool=...)``; ``python -m repro.eval chaos --service``
-drives it under seeded faults (:mod:`repro.compile.chaos`).
+The pool is the engine behind :class:`repro.compile.service.CompileService`,
+``compile_many`` and ``python -m repro.eval serve``;
+``python -m repro.eval chaos --service`` drives it under seeded faults
+(:mod:`repro.compile.chaos`).
 """
 
 from __future__ import annotations
 
-import atexit
+import dataclasses
 import os
 import queue as _queue
 import random
-import signal
 import sys
 import threading
 import time
 import traceback
-import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from .. import supervise
 from ..diag import E_QUARANTINE, I_RETRY, CompileDiagnostic, DiagnosticSink, Severity
-from ..runtime.procexec import (
-    ExecutorError,
-    ExecutorUnavailable,
-    WorkerCrashed,
-    WorkerTimeout,
-)
+from ..supervise import ExecutorError, WorkerCrashed, WorkerTimeout
 from .cache import PlanCache, active_cache
 from .driver import CompileFailed, CompileJob, CompileOutcome
 from .pipeline import KernelArtifact, _loads, _replay
@@ -88,10 +84,11 @@ class ServiceOverloaded(ExecutorError):
         self.depth = depth
 
 
-class CompileQuarantined(ExecutorError):
+class CompileQuarantined(WorkerCrashed):
     """A poisoned job: it killed its worker ``max_attempts`` times and
     will never be retried again.  ``history`` lists one entry per fatal
-    attempt (kind, detail, elapsed seconds)."""
+    attempt (kind, detail, elapsed seconds).  A :class:`WorkerCrashed`,
+    so a batch's worker crashes stay one catchable type."""
 
     def __init__(self, message: str, *, digest: str = "",
                  history: "tuple[AttemptRecord, ...]" = (), **kw):
@@ -231,17 +228,8 @@ def _pool_worker_main(wid: int, task_q, ctrl_q, hb, hb_interval: float) -> None:
     """Loop of one persistent compile worker: take a job, build, report,
     repeat.  A deterministic compile error is reported and the loop
     continues — only the shutdown sentinel (or a lost parent) ends it."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    stop = supervise.begin_worker(hb, wid, hb_interval)
     parent = os.getppid()
-    stop = threading.Event()
-
-    def _beat_loop() -> None:
-        while not stop.is_set():
-            hb[wid] = time.monotonic()
-            stop.wait(hb_interval)
-
-    threading.Thread(target=_beat_loop, daemon=True,
-                     name=f"pool-heartbeat-{wid}").start()
     try:
         while True:
             try:
@@ -262,15 +250,10 @@ def _pool_worker_main(wid: int, task_q, ctrl_q, hb, hb_interval: float) -> None:
                 from . import driver as _driver
 
                 payload = _driver._build_for_job(job)
-                ctrl_q.put(("done", wid, seq, payload))
+                ctrl_q.put(("done", (wid, seq), payload))
             except BaseException as exc:  # noqa: BLE001 - typed report
-                try:
-                    ctrl_q.put((
-                        "err", wid, seq, type(exc).__name__, str(exc),
-                        traceback.format_exc(),
-                    ))
-                except Exception:  # pragma: no cover - torn queue
-                    break
+                if not supervise.report_failure(ctrl_q, (wid, seq), exc):
+                    break  # pragma: no cover - torn queue
     finally:
         stop.set()
     sys.exit(0)
@@ -328,20 +311,6 @@ class _Worker:
     exit_seen: Optional[float] = None
 
 
-_LIVE_POOLS: "weakref.WeakSet[CompilePool]" = weakref.WeakSet()
-
-
-def _atexit_sweep() -> None:  # pragma: no cover - exercised on abrupt exit
-    for pool in list(_LIVE_POOLS):
-        try:
-            pool.shutdown(wait=False)
-        except Exception:
-            pass
-
-
-atexit.register(_atexit_sweep)
-
-
 # ---------------------------------------------------------------------------
 # the pool
 # ---------------------------------------------------------------------------
@@ -360,20 +329,14 @@ class CompilePool:
         cache: Optional[PlanCache] = None,
         use_active_cache: bool = True,
     ):
-        import multiprocessing as mp
-
-        if "fork" not in mp.get_all_start_methods():  # pragma: no cover
-            raise ExecutorUnavailable(
-                "CompilePool needs the fork start method for its workers"
-            )
+        self._ctx = supervise.fork_context("the compile pool")
         self.config = config or PoolConfig()
         self.stats = PoolStats()
         self._cache = cache if cache is not None else (
             active_cache() if use_active_cache else None
         )
-        self._ctx = mp.get_context("fork")
         self._ctrl = self._ctx.Queue()
-        self._hb = self._ctx.Array("d", self.config.workers, lock=False)
+        self._hb = supervise.heartbeat_slab(self._ctx, self.config.workers)
         self._lock = threading.Lock()
         self._wake = threading.Condition(self._lock)  # ticket resolutions
         self._space = threading.Condition(self._lock)  # admission slots
@@ -384,15 +347,13 @@ class CompilePool:
         self._seq = 0
         self._closed = False
         self._stopped = False
-        now = time.monotonic()
         for wid in range(self.config.workers):
-            self._hb[wid] = now
             self._workers.append(self._spawn(wid))
         self._supervisor = threading.Thread(
             target=self._supervise, daemon=True, name="compile-pool"
         )
         self._supervisor.start()
-        _LIVE_POOLS.add(self)
+        supervise.track(self, lambda pool: pool.shutdown(wait=False))
 
     # -- client surface ----------------------------------------------------
     def submit(self, job: CompileJob, block: Optional[bool] = None) -> PoolTicket:
@@ -409,8 +370,7 @@ class CompilePool:
         digest = job.key().kernel_digest
         blocking = self.config.overload == "block" if block is None else block
         with self._lock:
-            self.stats.submitted += 1
-            GLOBAL_STATS.submitted += 1
+            self._count("submitted")
             if self._closed:
                 raise PoolClosed("compile pool is shut down")
             ticket = self._share_locked(digest)
@@ -418,8 +378,7 @@ class CompilePool:
                 return ticket
             err = self._quarantine.get(digest)
             if err is not None:
-                self.stats.quarantine_rejections += 1
-                GLOBAL_STATS.quarantine_rejections += 1
+                self._count("quarantine_rejections")
                 ticket = PoolTicket(
                     digest=digest, job=job, state="failed", error=err,
                     submitted_at=time.monotonic(),
@@ -441,8 +400,7 @@ class CompilePool:
                         submitted_at=now, resolved_at=now,
                     )
                     self._tickets[digest] = ticket
-                    self.stats.warm_hits += 1
-                    GLOBAL_STATS.warm_hits += 1
+                    self._count("warm_hits")
                 return ticket
         with self._space:
             if self._closed:
@@ -452,8 +410,7 @@ class CompilePool:
                 return ticket
             while len(self._queue) >= self.config.max_queue:
                 if not blocking:
-                    self.stats.rejected += 1
-                    GLOBAL_STATS.rejected += 1
+                    self._count("rejected")
                     raise ServiceOverloaded(
                         f"compile queue is full "
                         f"({len(self._queue)}/{self.config.max_queue} pending)",
@@ -506,11 +463,7 @@ class CompilePool:
         tickets: list[PoolTicket] = []
         for job in jobs:
             if timeout is not None and job.timeout is None:
-                job = CompileJob(
-                    source=job.source, nprocs=job.nprocs, params=job.params,
-                    backend=job.backend, strict=job.strict, label=job.label,
-                    timeout=timeout,
-                )
+                job = dataclasses.replace(job, timeout=timeout)
             tickets.append(self.submit(job, block=True))
         outcomes: list[CompileOutcome] = []
         first_of: dict[str, int] = {}
@@ -567,23 +520,10 @@ class CompilePool:
                 w.task_q.put(None)
             except Exception:  # pragma: no cover - torn queue
                 pass
-        deadline = time.monotonic() + (10.0 if wait else 2.0)
-        for w in workers:
-            w.proc.join(timeout=max(deadline - time.monotonic(), 0.1))
-            if w.proc.exitcode is None:
-                _kill_pid(w.proc.pid)
-                w.proc.join(timeout=5.0)
-            try:
-                w.task_q.close()
-                w.task_q.join_thread()
-            except Exception:  # pragma: no cover - best-effort release
-                pass
-        try:
-            self._ctrl.close()
-            self._ctrl.join_thread()
-        except Exception:  # pragma: no cover - best-effort release
-            pass
-        _LIVE_POOLS.discard(self)
+        supervise.reap([w.proc for w in workers],
+                       grace=10.0 if wait else 2.0)
+        supervise.close_queues([w.task_q for w in workers] + [self._ctrl])
+        supervise.untrack(self)
 
     def __enter__(self) -> "CompilePool":
         return self
@@ -608,6 +548,11 @@ class CompilePool:
             return len(self._queue)
 
     # -- internals ---------------------------------------------------------
+    def _count(self, name: str, n: int = 1) -> None:
+        """Bump counter *name* here and in the process-wide aggregate."""
+        for stats in (self.stats, GLOBAL_STATS):
+            setattr(stats, name, getattr(stats, name) + n)
+
     def _share_locked(self, digest: str) -> Optional[PoolTicket]:
         """The existing ticket for *digest* if the submission should
         coalesce onto it (anything but a retryable failure), else None.
@@ -619,11 +564,9 @@ class CompilePool:
         if ticket.state == "failed" and not quarantined:
             return None  # deterministic/timeout failure: allow resubmission
         if not ticket.done:
-            self.stats.coalesced += 1
-            GLOBAL_STATS.coalesced += 1
+            self._count("coalesced")
         elif quarantined:
-            self.stats.quarantine_rejections += 1
-            GLOBAL_STATS.quarantine_rejections += 1
+            self._count("quarantine_rejections")
         ticket.waiters += 1
         return ticket
 
@@ -637,8 +580,7 @@ class CompilePool:
         )
         self._hb[wid] = time.monotonic()
         proc.start()
-        self.stats.forks += 1
-        GLOBAL_STATS.forks += 1
+        self._count("forks")
         return _Worker(wid=wid, proc=proc, task_q=task_q)
 
     def _materialize(self, ticket: PoolTicket) -> CompileOutcome:
@@ -682,11 +624,9 @@ class CompilePool:
         ticket.payload = payload
         ticket.state = "done"
         ticket.resolved_at = time.monotonic()
-        self.stats.completed += 1
-        GLOBAL_STATS.completed += 1
+        self._count("completed")
         if ticket.history:
-            self.stats.retries += len(ticket.history)
-            GLOBAL_STATS.retries += len(ticket.history)
+            self._count("retries", len(ticket.history))
         self._wake.notify_all()
 
     def _resolve_failure_locked(
@@ -697,8 +637,7 @@ class CompilePool:
         ticket.error = error
         ticket.state = "failed"
         ticket.resolved_at = time.monotonic()
-        self.stats.failed += 1
-        GLOBAL_STATS.failed += 1
+        self._count("failed")
         self._wake.notify_all()
 
     def _cancel_queued_locked(self) -> None:
@@ -708,8 +647,7 @@ class CompilePool:
                 f"compile {digest[:12]} cancelled while queued "
                 f"(pool draining)"
             ))
-            self.stats.cancelled += 1
-            GLOBAL_STATS.cancelled += 1
+            self._count("cancelled")
         self._queue.clear()
         self.stats.queue_depth = 0
         self._space.notify_all()
@@ -723,9 +661,7 @@ class CompilePool:
             attempt=ticket.attempts, kind=kind, detail=detail,
             elapsed=now - (ticket.submitted_at or now),
         ))
-        counter = "crashes" if kind == "crash" else "stalls"
-        setattr(self.stats, counter, getattr(self.stats, counter) + 1)
-        setattr(GLOBAL_STATS, counter, getattr(GLOBAL_STATS, counter) + 1)
+        self._count("crashes" if kind == "crash" else "stalls")
         if ticket.attempts >= self.config.max_attempts:
             err = CompileQuarantined(
                 f"compile job {ticket.job.describe()} killed its worker "
@@ -734,8 +670,7 @@ class CompilePool:
                 digest=ticket.digest, history=tuple(ticket.history),
             )
             self._quarantine[ticket.digest] = err
-            self.stats.quarantined += 1
-            GLOBAL_STATS.quarantined += 1
+            self._count("quarantined")
             self._resolve_failure_locked(ticket, err)
             return
         ticket.state = "queued"
@@ -753,54 +688,41 @@ class CompilePool:
                 if self._stopped:
                     return
             try:
-                self._drain_ctrl(block=True)
+                supervise.drain(self._ctrl, self._on_ctrl, block=True,
+                                poll=self.config.poll_interval)
                 self._dispatch()
                 self._police()
             except Exception:  # pragma: no cover - defensive
                 traceback.print_exc(file=sys.stderr)
                 time.sleep(self.config.poll_interval)
 
-    def _drain_ctrl(self, block: bool) -> None:
-        first = True
-        while True:
-            try:
-                if block and first:
-                    msg = self._ctrl.get(timeout=self.config.poll_interval)
-                else:
-                    msg = self._ctrl.get_nowait()
-            except _queue.Empty:
+    def _on_ctrl(self, msg) -> None:
+        """One worker report: ``("done", (wid, seq), payload)`` or the
+        shared ``("err", (wid, seq), etype, message, traceback)``."""
+        kind, (wid, seq) = msg[0], msg[1]
+        with self._lock:
+            worker = next((w for w in self._workers if w.wid == wid), None)
+            digest = worker.busy if worker is not None else None
+            ticket = self._tickets.get(digest) if digest else None
+            if (ticket is None or ticket.seq != seq
+                    or ticket.state != "running"):
+                return  # a stale result (timeout or retry raced it)
+            worker.busy = None
+            worker.exit_seen = None
+            self._space.notify_all()
+            if kind == "err":
+                _, _, etype, emsg, tb = msg
+                self._resolve_failure_locked(ticket, CompileFailed(
+                    f"compilation raised {etype}: {emsg}",
+                    etype=etype, tb=tb,
+                ))
                 return
-            except (EOFError, OSError):  # pragma: no cover - torn queue
-                return
-            finally:
-                first = False
-            kind, wid, seq = msg[0], msg[1], msg[2]
-            with self._lock:
-                worker = next(
-                    (w for w in self._workers if w.wid == wid), None
-                )
-                digest = worker.busy if worker is not None else None
-                ticket = self._tickets.get(digest) if digest else None
-                if (ticket is None or ticket.seq != seq
-                        or ticket.state != "running"):
-                    continue  # a stale result (timeout or retry raced it)
-                worker.busy = None
-                worker.exit_seen = None
-                self._space.notify_all()
-                if kind == "done":
-                    payload = msg[3]
-                else:
-                    _, _, _, etype, emsg, tb = msg
-                    self._resolve_failure_locked(ticket, CompileFailed(
-                        f"compilation raised {etype}: {emsg}",
-                        etype=etype, tb=tb,
-                    ))
-                    continue
-            # cache write outside the lock (disk IO)
-            if self._cache is not None:
-                self._cache.put(digest, payload)
-            with self._lock:
-                self._resolve_success_locked(ticket, payload)
+        payload = msg[2]
+        # cache write outside the lock (disk IO)
+        if self._cache is not None:
+            self._cache.put(digest, payload)
+        with self._lock:
+            self._resolve_success_locked(ticket, payload)
 
     def _dispatch(self) -> None:
         now = time.monotonic()
@@ -872,23 +794,18 @@ class CompilePool:
                         w.exit_seen = now
                     if ec == 0 and now - w.exit_seen < self.config.exit_grace:
                         continue
-                    what = (f"killed by signal {-ec}" if ec < 0
-                            else f"exited with code {ec}" if ec
-                            else "exited cleanly without delivering")
-                    kill.append((w, "crash", what))
+                    kill.append((w, "crash", supervise.exit_verdict(ec)))
         if not kill:
             return
         for w, kind, detail in kill:
-            _kill_pid(w.proc.pid)
-            w.proc.join(timeout=5.0)
+            supervise.reap([w.proc])
             with self._lock:
                 if self._stopped:
                     return
                 ticket = self._tickets.get(w.busy) if w.busy else None
                 if ticket is not None and ticket.state == "running":
                     if kind == "timeout":
-                        self.stats.timeouts += 1
-                        GLOBAL_STATS.timeouts += 1
+                        self._count("timeouts")
                         self._resolve_failure_locked(ticket, WorkerTimeout(
                             f"compile job {ticket.job.describe()} exceeded "
                             f"its deadline ({detail})",
@@ -900,27 +817,10 @@ class CompilePool:
                             detail, now,
                         )
                 idx = self._workers.index(w)
-                self.stats.respawns += 1
-                GLOBAL_STATS.respawns += 1
+                self._count("respawns")
                 self._workers[idx] = self._spawn(w.wid)
                 self._space.notify_all()
-            # release the dead worker's queue resources
-            try:
-                w.task_q.close()
-                w.task_q.join_thread()
-            except Exception:  # pragma: no cover - best-effort release
-                pass
-
-
-def _kill_pid(pid: Optional[int]) -> None:
-    """SIGKILL (works on SIGSTOPped processes too; a pool worker needs no
-    child-side cleanup — results are delivered atomically)."""
-    if pid is None:
-        return
-    try:
-        os.kill(pid, signal.SIGKILL)
-    except (ProcessLookupError, PermissionError):  # pragma: no cover
-        pass
+            supervise.close_queues([w.task_q])
 
 
 __all__ = [

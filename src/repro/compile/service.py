@@ -1,9 +1,8 @@
 """The compilation-service front door: submit / poll / collect.
 
 :class:`CompileService` is the programmatic shape of "millions of users
-submitting kernels" — and since PR 10 it runs on the supervised
-persistent worker pool (:mod:`repro.compile.pool`) instead of forking a
-fresh worker per batch:
+submitting kernels", run on the supervised persistent worker pool
+(:mod:`repro.compile.pool`):
 
     svc = CompileService(workers=4)
     ticket = svc.submit(source, nprocs=4, params={"n": 64})
@@ -34,9 +33,8 @@ pool the service is crash-only:
   orphan process.
 
 ``python -m repro.eval serve`` is the CLI face: it reads job specs from
-a JSON file, compiles them through the service (``--pool``) or the
-fork-per-job driver, drains gracefully on SIGTERM, and exits nonzero
-iff any job failed.
+a JSON file, compiles them on the pool, drains gracefully on SIGTERM,
+and exits nonzero iff any job failed.
 """
 
 from __future__ import annotations

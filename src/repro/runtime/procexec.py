@@ -16,9 +16,11 @@ node programs on actual OS processes:
   same physical numpy buffers (see :func:`run_kernel`).
 
 Real workers fail in real ways — crashes, hangs, partial writes — so the
-backend is supervised from day one.  The parent-side monitor watches a
-shared-memory heartbeat slab, each worker's exit code, and an overall
-wall-clock deadline.  Every worker beats from a tiny daemon thread (and
+backend is supervised from day one, on the shared primitive of
+:mod:`repro.supervise` (fork context, heartbeat slab, control-queue
+drain, reaping, typed errors).  The parent-side monitor watches the
+heartbeat slab, each worker's exit code, and an overall wall-clock
+deadline.  Every worker beats from a tiny daemon thread (and
 additionally on every rank-API call), so a live worker keeps beating
 even through a long rank-API-free vectorized compute nest; a stale
 heartbeat therefore means a *frozen* process — SIGSTOPped, wedged in the
@@ -37,6 +39,8 @@ rank, phase, and the time since the last heartbeat:
 - :class:`ExecutorError` — base class; also the verdict for an exception
   raised *by* the node program (deterministic, so never retried).
 
+These types live in :mod:`repro.supervise` and stay importable from here.
+
 Crashes and heartbeat timeouts trigger a bounded gang restart with
 exponential backoff: the whole gang is killed, pending checkpoint
 messages are drained into the parent's
@@ -49,7 +53,7 @@ every shared-memory segment; an ``atexit`` sweep backstops even a parent
 dying mid-run.  Never a silent hang, never an orphaned worker.
 
 Worker-side checkpoint saves are mirrored to the parent through the
-control queue (``CheckpointStore._publish``); a worker SIGKILLed mid-put
+control queue (``CheckpointStore._publish``); a worker killed mid-put
 can only lose its *own* in-flight message, and
 ``CheckpointStore.latest_complete`` already ignores iterations any rank
 is missing, so a torn write can never be resumed from.
@@ -57,12 +61,10 @@ is missing, so a torn write can never be resumed from.
 
 from __future__ import annotations
 
-import atexit
 import os
 import queue as _queue
 import signal
 import sys
-import threading
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -70,73 +72,17 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
+from .. import supervise
+from ..supervise import (
+    ExecutorError,
+    ExecutorTimeout,
+    ExecutorUnavailable,  # noqa: F401 - re-exported with its family
+    WorkerCrashed,
+    WorkerTimeout,
+)
 from .model import MachineModel, TEST_MACHINE
 
 _SEG_PREFIX = "repro_px"
-
-
-# ---------------------------------------------------------------------------
-# typed failures
-# ---------------------------------------------------------------------------
-
-class ExecutorError(RuntimeError):
-    """A failure of (or inside) the real-process execution backend.
-
-    ``rank``/``phase``/``last_heartbeat`` identify the failing worker:
-    which rank, what application phase it last reported, and how many
-    wall-clock seconds before detection it last proved liveness.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        *,
-        rank: Optional[int] = None,
-        phase: Optional[str] = None,
-        last_heartbeat: Optional[float] = None,
-    ):
-        detail = []
-        if rank is not None:
-            detail.append(f"rank {rank}")
-        if phase:
-            detail.append(f"phase {phase!r}")
-        if last_heartbeat is not None:
-            detail.append(f"last heartbeat {last_heartbeat:.2f}s ago")
-        if detail:
-            message = f"{message} ({', '.join(detail)})"
-        super().__init__(message)
-        self.rank = rank
-        self.phase = phase
-        self.last_heartbeat = last_heartbeat
-
-
-class ExecutorUnavailable(ExecutorError):
-    """The process backend cannot run here (no fork start method)."""
-
-
-class WorkerCrashed(ExecutorError):
-    """A worker process died (signal, nonzero exit, or a clean exit that
-    never delivered a result — a partial write)."""
-
-    def __init__(self, message: str, *, exitcode: Optional[int] = None, **kw):
-        super().__init__(message, **kw)
-        self.exitcode = exitcode
-
-
-class WorkerTimeout(ExecutorError):
-    """A worker stopped heartbeating.
-
-    Workers beat from a background thread, so this means the process is
-    *frozen* (SIGSTOP, kernel wedge) — a live worker stuck in a long
-    compute keeps beating and is bounded by ``timeout=`` instead."""
-
-
-class ExecutorTimeout(ExecutorError):
-    """The overall wall-clock ``timeout=`` budget was exhausted.
-
-    Raised by both executors — the process supervisor and the virtual
-    machine's ``run(timeout=...)`` guard — so harnesses catch one type.
-    """
 
 
 @dataclass(frozen=True)
@@ -184,7 +130,6 @@ class ProcConfig:
     restart_backoff: float = 0.05
     poll_interval: float = 0.02
     exit_grace: float = 2.0
-    start_method: str = "fork"
 
     def __post_init__(self) -> None:
         if self.heartbeat_interval <= 0 or self.heartbeat_timeout <= 0:
@@ -223,7 +168,7 @@ class ProcRank:
         nprocs: int,
         model: MachineModel,
         inboxes: list,
-        hb: np.ndarray,
+        hb,
         ctrl,
         hb_interval: float,
     ):
@@ -332,28 +277,17 @@ def _worker_main(
     node_fn: Callable,
     inboxes: list,
     ctrl,
-    hb: np.ndarray,
+    hb,
     model: MachineModel,
     checkpoint,
     hb_interval: float,
 ) -> None:
     """Entry point of one forked worker."""
-    # the parent owns Ctrl-C: it tears the gang down deliberately instead
-    # of every child racing it to a half-flushed queue
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
     try:
-        # liveness beats: a daemon thread stamps the slab every interval,
-        # so a worker deep in a rank-API-free compute nest never goes
-        # stale (SIGSTOP/kernel freezes stop this thread too, which is
-        # exactly what WorkerTimeout is meant to detect)
-        def _liveness_beats() -> None:
-            while True:
-                hb[rank_id] = time.monotonic()
-                time.sleep(hb_interval)
-
-        threading.Thread(
-            target=_liveness_beats, daemon=True, name="procexec-beater"
-        ).start()
+        # the beat thread keeps a worker deep in a rank-API-free compute
+        # nest from going stale; a frozen process stops it too, which is
+        # exactly what WorkerTimeout is meant to detect
+        supervise.begin_worker(hb, rank_id, hb_interval)
         if checkpoint is not None:
             checkpoint.store._publish = (
                 lambda it, r, state: ctrl.put(("ckpt", it, r, state))
@@ -362,15 +296,7 @@ def _worker_main(
         result = node_fn(rank)
         ctrl.put(("done", rank_id, result))
     except BaseException as exc:  # noqa: BLE001 - report, then die nonzero
-        import traceback
-
-        try:
-            ctrl.put((
-                "err", rank_id, type(exc).__name__, str(exc),
-                traceback.format_exc(),
-            ))
-        except Exception:
-            pass
+        supervise.report_failure(ctrl, rank_id, exc)
         sys.exit(1)
 
 
@@ -381,27 +307,14 @@ def _worker_main(
 class _Gang:
     """One launched generation of workers plus its plumbing."""
 
-    def __init__(self, procs, inboxes, ctrl, shm, hb):
+    def __init__(self, procs, inboxes, ctrl, hb):
         self.procs = procs
         self.inboxes = inboxes
         self.ctrl = ctrl
-        self.shm = shm
         self.hb = hb
         self.t0 = time.monotonic()
         self.iters: dict[int, int] = {}   # rank -> newest checkpointed iter
         self.exit_seen: dict[int, float] = {}
-
-
-#: gangs whose children/segments must be reaped if the parent dies mid-run
-_LIVE_GANGS: "set[ProcessExecutor]" = set()
-
-
-def _atexit_sweep() -> None:  # pragma: no cover - exercised only on abrupt exit
-    for ex in list(_LIVE_GANGS):
-        ex._emergency_cleanup()
-
-
-atexit.register(_atexit_sweep)
 
 
 def leaked_segments(prefix: str | None = None) -> list[str]:
@@ -438,15 +351,7 @@ class ProcessExecutor:
         self._segment_counter = 0
         #: test hook: called once per supervision poll (chaos/CTRL-C tests)
         self._poll_hook: Optional[Callable[[], None]] = None
-        import multiprocessing as mp
-
-        if self.config.start_method not in mp.get_all_start_methods():
-            raise ExecutorUnavailable(
-                f"start method {self.config.start_method!r} is unavailable "
-                f"(have {mp.get_all_start_methods()}); the process backend "
-                "needs fork to inherit node-program closures"
-            )
-        self._ctx = mp.get_context(self.config.start_method)
+        self._ctx = supervise.fork_context("the process backend")
 
     # -- lifecycle -------------------------------------------------------------
     def run(
@@ -508,16 +413,10 @@ class ProcessExecutor:
         return f"{_SEG_PREFIX}_{os.getpid()}_{self._segment_counter}"
 
     def _launch(self, node_fn: Callable, checkpoint) -> None:
-        from multiprocessing import shared_memory
-
         cfg = self.config
         inboxes = [self._ctx.Queue() for _ in range(self.nprocs)]
         ctrl = self._ctx.Queue()
-        shm = shared_memory.SharedMemory(
-            create=True, name=self._segment_name(), size=self.nprocs * 8
-        )
-        hb = np.ndarray((self.nprocs,), dtype=np.float64, buffer=shm.buf)
-        hb[:] = time.monotonic()
+        hb = supervise.heartbeat_slab(self._ctx, self.nprocs)
         procs = []
         for r in range(self.nprocs):
             p = self._ctx.Process(
@@ -528,8 +427,8 @@ class ProcessExecutor:
                 name=f"procexec-rank-{r}",
             )
             procs.append(p)
-        self._gang = _Gang(procs, inboxes, ctrl, shm, hb)
-        _LIVE_GANGS.add(self)
+        self._gang = _Gang(procs, inboxes, ctrl, hb)
+        supervise.track(self, ProcessExecutor._teardown)
         for p in procs:
             p.start()
 
@@ -537,28 +436,15 @@ class ProcessExecutor:
     def _drain(self, done: dict, phases: dict, checkpoint, block: bool) -> None:
         """Pull control messages: results, errors, checkpoints, phases.
 
-        A SIGKILLed worker can tear its last message mid-pipe; unpickling
-        garbage is treated as a lost message (safe: coordinated-complete
-        checkpoint semantics ignore iterations missing any rank, and a
-        lost ``done`` is re-detected as a crash).
+        A killed worker can tear its last message mid-pipe; the shared
+        drain drops such a frame as a lost message (safe: coordinated-
+        complete checkpoint semantics ignore iterations missing any rank,
+        and a lost ``done`` is re-detected as a crash).
         """
         gang = self._gang
         assert gang is not None
-        first = True
-        while True:
-            try:
-                if block and first:
-                    msg = gang.ctrl.get(timeout=self.config.poll_interval)
-                else:
-                    msg = gang.ctrl.get_nowait()
-            except _queue.Empty:
-                return
-            except (EOFError, OSError):  # queue torn down under us
-                return
-            except Exception:  # corrupted frame from a killed writer
-                continue
-            finally:
-                first = False
+
+        def handle(msg) -> None:
             kind = msg[0]
             if kind == "done":
                 done[msg[1]] = msg[2]
@@ -577,6 +463,9 @@ class ProcessExecutor:
                     checkpoint.store.save(it, r, state)
             elif kind == "phase":
                 phases[msg[1]] = msg[2]
+
+        supervise.drain(gang.ctrl, handle, block=block,
+                        poll=self.config.poll_interval)
 
     def _fault_due(self, fault: ProcFault, now: float) -> bool:
         gang = self._gang
@@ -642,13 +531,8 @@ class ProcessExecutor:
                     continue
                 if ec == 0 and now - seen < cfg.exit_grace:
                     continue
-                what = (
-                    f"killed by signal {-ec}" if ec < 0 else
-                    f"exited with code {ec}" if ec else
-                    "exited cleanly without delivering a result"
-                )
                 raise WorkerCrashed(
-                    f"rank {r} {what}",
+                    f"rank {r} {supervise.exit_verdict(ec)}",
                     exitcode=ec, rank=r, phase=phases.get(r),
                     last_heartbeat=now - float(gang.hb[r]),
                 )
@@ -656,23 +540,13 @@ class ProcessExecutor:
     # -- cleanup ---------------------------------------------------------------
     def _teardown(self, checkpoint=None) -> None:
         """Kill and reap every child, salvage buffered checkpoint messages,
-        release queues and the heartbeat segment.  Safe to call twice."""
+        release the queues.  Safe to call twice."""
         gang = self._gang
         if gang is None:
             return
         self._gang = None
-        _LIVE_GANGS.discard(self)
-        for p in gang.procs:
-            if p.pid is not None and p.is_alive():
-                try:
-                    # SIGKILL (not terminate/SIGTERM): it also fells
-                    # SIGSTOPped workers, and nothing here needs to run
-                    # child-side cleanup
-                    os.kill(p.pid, signal.SIGKILL)
-                except ProcessLookupError:
-                    pass
-        for p in gang.procs:
-            p.join(timeout=5.0)
+        supervise.untrack(self)
+        supervise.reap(gang.procs)
         # checkpoints already in the pipe survive their writer's death;
         # bank them so the next gang resumes as far forward as possible
         if checkpoint is not None:
@@ -681,27 +555,7 @@ class ProcessExecutor:
                 self._drain({}, {}, checkpoint, block=False)
             finally:
                 self._gang = None
-        for q in gang.inboxes + [gang.ctrl]:
-            try:
-                q.close()
-                q.join_thread()
-            except Exception:  # pragma: no cover - best-effort release
-                pass
-        gang.hb = None  # drop the exported buffer so the mmap can unmap
-        try:
-            gang.shm.close()
-        except Exception:  # pragma: no cover - BufferError on exotic refs
-            pass
-        try:
-            gang.shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - already reaped
-            pass
-
-    def _emergency_cleanup(self) -> None:  # pragma: no cover - atexit path
-        try:
-            self._teardown()
-        except Exception:
-            pass
+        supervise.close_queues(gang.inboxes + [gang.ctrl])
 
 
 # ---------------------------------------------------------------------------

@@ -351,6 +351,19 @@ class TestShutdown:
             pool.submit(_jobs(1)[0])
 
 
+class TestControlDrain:
+    def test_unpicklable_frame_is_dropped(self, cache, capfd):
+        """A control frame that fails to unpickle (a worker killed
+        mid-put can leave one behind) is dropped by the shared drain:
+        the batch still completes and the supervisor thread prints no
+        traceback."""
+        with CompilePool(_fast_config(workers=2), cache=cache) as pool:
+            pool._ctrl._writer.send_bytes(b"not a pickle frame")
+            outcomes = pool.run_batch(_jobs(2))
+        assert all(o.ok for o in outcomes)
+        assert "Traceback" not in capfd.readouterr().err
+
+
 class TestCompileManyPoolPath:
     def test_pool_arg_routes_batch_through_pool(self, cache):
         jobs = _jobs(3) + _jobs(1)  # index 3 duplicates index 0

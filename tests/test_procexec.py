@@ -219,7 +219,7 @@ class TestTypedFailureDetection:
             ex.run(boom, timeout=60)
         assert ex.restarts == 0  # deterministic app errors are not retried
 
-    def test_config_validated(self):
+    def test_config_validated(self, monkeypatch):
         with pytest.raises(ValueError, match="heartbeat"):
             ProcConfig(heartbeat_interval=0.5, heartbeat_timeout=0.1)
         with pytest.raises(ValueError, match="max_restarts"):
@@ -228,8 +228,10 @@ class TestTypedFailureDetection:
             ProcFault(rank=0, kind="melt", after_seconds=1.0)
         with pytest.raises(ValueError, match="after_iteration or after_seconds"):
             ProcFault(rank=0)
+        # a platform without fork: the shared fork check refuses
+        monkeypatch.setattr(mp, "get_all_start_methods", lambda: ["spawn"])
         with pytest.raises(ExecutorUnavailable, match="start method"):
-            ProcessExecutor(2, config=ProcConfig(start_method="no-such-method"))
+            ProcessExecutor(2, config=ProcConfig())
 
 
 class TestRestartRecovery:

@@ -27,8 +27,9 @@ import pytest
 
 from repro.compile.cache import PlanCache, PlanCacheConfig
 from repro.compile.key import PlanKey
+from repro.codegen.spmd import analyze_program
 from repro.compile.pipeline import (
-    _analyze_direct,
+    AnalysisArtifact,
     cached_compile,
     stage_codegen,
     stage_parse,
@@ -36,6 +37,7 @@ from repro.compile.pipeline import (
     stage_specialize,
 )
 from repro.diag import DiagnosticSink
+from repro.distrib.layout import DistributionContext
 from repro.eval.bench import kernel_specs
 from repro.isets import new_epoch
 from repro.isets.profile import profiled
@@ -60,7 +62,17 @@ def _emit(sub, nprocs, params, *, symbolic):
         assert selart is not None, "canonical processor count derivation failed"
         art = stage_specialize(selart, nprocs, params)
     else:
-        art = _analyze_direct(sub, nprocs, params)
+        # the one-shot reference: selection and communication analysis
+        # interleaved per nest at the target nprocs
+        ctx = DistributionContext(sub, nprocs, params)
+        merged = {**sub.symbols.parameter_values(), **params}
+        cps, nest_plans, private_arrays, localized_arrays = (
+            analyze_program(sub, ctx, merged)
+        )
+        art = AnalysisArtifact(
+            sub=sub, ctx=ctx, merged=merged, cps=cps, nest_plans=nest_plans,
+            private_arrays=private_arrays, localized_arrays=localized_arrays,
+        )
     kern = stage_codegen(art, nprocs, "vector", sink)
     return {t: kern.python_source(t) for t in TARGETS}
 
